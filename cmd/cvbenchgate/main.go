@@ -29,6 +29,9 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
+	// Name is the benchmark name without the -N GOMAXPROCS suffix go test
+	// appends on multi-core runs, so it matches the baseline at any core
+	// count.
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -103,26 +106,29 @@ func main() {
 
 // gateAllocs compares every gated baseline entry against the fresh results.
 // A gated benchmark missing from the fresh run fails the gate — silently
-// dropping an arm must not pass.
+// dropping an arm must not pass. A run with several -cpu values holds one
+// result per core count under the same name; each of them is gated.
 func gateAllocs(base, cur []Result, prefix string, tolerance float64) []string {
-	byName := make(map[string]Result, len(cur))
+	byName := make(map[string][]Result, len(cur))
 	for _, r := range cur {
-		byName[r.Name] = r
+		byName[r.Name] = append(byName[r.Name], r)
 	}
 	var failures []string
 	for _, b := range base {
 		if !strings.HasPrefix(b.Name, prefix) || !b.HasAllocs {
 			continue
 		}
-		c, ok := byName[b.Name]
+		runs, ok := byName[b.Name]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline but missing from this run", b.Name))
 			continue
 		}
 		limit := b.AllocsPerOp * (1 + tolerance)
-		if c.AllocsPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%% (limit %.1f)",
-				b.Name, c.AllocsPerOp, b.AllocsPerOp, tolerance*100, limit))
+		for _, c := range runs {
+			if c.AllocsPerOp > limit {
+				failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%% (limit %.1f)",
+					b.Name, c.AllocsPerOp, b.AllocsPerOp, tolerance*100, limit))
+			}
 		}
 	}
 	return failures
@@ -143,7 +149,9 @@ func readFile(path string) (File, error) {
 // parseBench extracts benchmark result lines from `go test -bench` output.
 // A line looks like:
 //
-//	BenchmarkConcurrentSubmit/workers=1  114235  33933 ns/op  29470 jobs/sec  7973 B/op  44 allocs/op
+//	BenchmarkConcurrentSubmit/workers=1-2  114235  33933 ns/op  29470 jobs/sec  7973 B/op  44 allocs/op
+//
+// where the trailing -2 is the GOMAXPROCS suffix (absent at GOMAXPROCS=1).
 func parseBench(r io.Reader) ([]Result, error) {
 	var out []Result
 	sc := bufio.NewScanner(r)
@@ -162,7 +170,7 @@ func parseBench(r io.Reader) ([]Result, error) {
 		if err != nil {
 			continue
 		}
-		res := Result{Name: fields[0], Iterations: iters}
+		res := Result{Name: trimProcs(fields[0]), Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -189,6 +197,21 @@ func parseBench(r io.Reader) ([]Result, error) {
 		}
 	}
 	return out, sc.Err()
+}
+
+// trimProcs drops a trailing -<digits> GOMAXPROCS suffix from a benchmark
+// name.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 func fatal(format string, args ...any) {

@@ -391,7 +391,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 		// algorithm choices were derived from. Retries always recompile.
 		cr, sigMap, subs, tmpl = nil, nil, nil, nil
 		if attempt == 1 && cached != nil {
-			if cp := cached.compiled; cp != nil {
+			if cp := cached.compiled.Load(); cp != nil {
 				disabledBy, off := "", true
 				if e.Insights != nil {
 					disabledBy = e.Insights.DisabledReason(in.Cluster, in.VC, in.OptIn)

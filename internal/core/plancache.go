@@ -42,8 +42,10 @@ type planEntry struct {
 	// the CloudViews controls disabled: their compilation is a pure function
 	// of (root, estimates), with no view matching, no spool proposals, and no
 	// insights round trip — so replaying it is sound whenever the controls
-	// are still off and a fresh estimate pass agrees exactly.
-	compiled *compiledPlan
+	// are still off and a fresh estimate pass agrees exactly. It is atomic
+	// because concurrent jobs read it outside the cache lock; a reader loads
+	// it once per job.
+	compiled atomic.Pointer[compiledPlan]
 
 	prev, next *planEntry
 	key        planKey
@@ -242,9 +244,7 @@ func (c *planCache) storeCompiled(e *planEntry, cp *compiledPlan) {
 	if c == nil || e == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e.compiled = cp
+	e.compiled.Store(cp)
 }
 
 // stats returns cumulative full-compile cache hits and misses (level 2).

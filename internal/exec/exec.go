@@ -5,6 +5,12 @@
 // in for production-scale inputs (rows execute small, work and bytes account
 // big). Spool and ViewScan implement the CloudViews online-materialization
 // and reuse operators.
+//
+// Each operator has one production path, the batch kernels, with the row
+// interpreter as fallback and test oracle (see Executor.Vectorized). An
+// Executor runs its operators one after another on the calling goroutine:
+// concurrency lives across jobs — per-VC workers and batch submission each
+// run their own Executor — not within an operator.
 package exec
 
 import (
@@ -273,18 +279,13 @@ type Executor struct {
 	// this job is charged only the transfer (paper §5.4, reuse in
 	// concurrent queries without pre-materialization).
 	PipelineSharing bool
-	// Parallelism bounds the intra-operator worker count for partitioned
-	// hash-join and hash-aggregate execution. 0 means GOMAXPROCS (capped);
-	// 1 forces fully serial execution. Parallel plans produce byte-identical
-	// results to serial execution: partitioning is hash-based and outputs are
-	// reassembled in the serial emission order.
-	Parallelism int
-	// Vectorized switches the serial operator paths to typed-column batch
-	// kernels (batchSize rows per call, selection bitmaps). The row-at-a-time
-	// path is kept as the serial twin: kernels reproduce Value semantics
-	// bit-for-bit and fall back to the row path per operator whenever an
-	// expression, type, or NULL pattern is outside kernel coverage (see
-	// vec.go), so results are byte-identical either way.
+	// Vectorized runs operators on the typed-column batch kernels (batchSize
+	// rows per call, selection bitmaps) — the execution path every production
+	// caller takes. An operator falls back to the row-at-a-time interpreter
+	// whenever an expression, type, or NULL pattern is outside kernel
+	// coverage (see vec.go). Kernels reproduce Value semantics bit-for-bit, so
+	// results are byte-identical either way; false runs the row interpreter
+	// throughout and serves as the oracle the kernels are tested against.
 	Vectorized bool
 	// Metrics, when set, receives execution totals (cache hits, work,
 	// bytes read) once per Run.
@@ -565,9 +566,7 @@ func (ex *Executor) evalFilter(x *plan.Filter) (nodeResult, error) {
 	}
 	out := data.NewTable(in.table.Schema)
 	var batches int64
-	if ex.parallelOK(in.table.NumRows(), x.Pred) {
-		ex.parallelFilter(in.table, x.Pred, out)
-	} else if nb, ok := ex.vecFilter(in.table, x.Pred, out); ok {
+	if nb, ok := ex.vecFilter(in.table, x.Pred, out); ok {
 		batches = nb
 	} else {
 		for _, row := range in.table.Rows {
@@ -588,9 +587,7 @@ func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
 	}
 	out := data.NewTable(x.Schema())
 	var batches int64
-	if ex.parallelOK(in.table.NumRows(), x.Exprs...) {
-		ex.parallelProject(in.table, x.Exprs, out)
-	} else if nb, ok := ex.vecProject(in.table, x.Exprs, out); ok {
+	if nb, ok := ex.vecProject(in.table, x.Exprs, out); ok {
 		batches = nb
 	} else {
 		for _, row := range in.table.Rows {
@@ -675,32 +672,28 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 	var batches int64
 	switch algo {
 	case plan.JoinHash:
-		if ex.parallelOK(l.table.NumRows()+r.table.NumRows(), joinExprs(x)...) {
-			ex.parallelHashJoin(l.table, r.table, x, out)
-		} else {
-			lKeys, lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys)
-			rKeys, rb, rok := ex.vecJoinKeys(r.table, x.RightKeys)
-			batches = lb + rb
-			build := make(map[string][]data.Row, r.table.NumRows())
-			for ri, rr := range r.table.Rows {
-				var k string
-				if rok {
-					k = rKeys[ri]
-				} else {
-					k = ex.joinKey(rr, x.RightKeys)
-				}
-				build[k] = append(build[k], rr)
+		lKeys, lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys)
+		rKeys, rb, rok := ex.vecJoinKeys(r.table, x.RightKeys)
+		batches = lb + rb
+		build := make(map[string][]data.Row, r.table.NumRows())
+		for ri, rr := range r.table.Rows {
+			var k string
+			if rok {
+				k = rKeys[ri]
+			} else {
+				k = ex.joinKey(rr, x.RightKeys)
 			}
-			for li, lr := range l.table.Rows {
-				var k string
-				if lok {
-					k = lKeys[li]
-				} else {
-					k = ex.joinKey(lr, x.LeftKeys)
-				}
-				for _, rr := range build[k] {
-					emit(lr, rr)
-				}
+			build[k] = append(build[k], rr)
+		}
+		for li, lr := range l.table.Rows {
+			var k string
+			if lok {
+				k = lKeys[li]
+			} else {
+				k = ex.joinKey(lr, x.LeftKeys)
+			}
+			for _, rr := range build[k] {
+				emit(lr, rr)
 			}
 		}
 		work = (lRows + rRows) * costHashRow
@@ -821,9 +814,7 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	schema := x.Schema()
 	out := data.NewTable(schema)
 	var batches int64
-	if ex.parallelOK(in.table.NumRows(), aggExprs(x)...) {
-		ex.parallelHashAggregate(in.table, x, out)
-	} else if nb, ok := ex.vecAggregate(in.table, x, schema, out); ok {
+	if nb, ok := ex.vecAggregate(in.table, x, schema, out); ok {
 		batches = nb
 	} else {
 		states := make(map[string]*aggState)
@@ -853,6 +844,100 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	}
 	ex.record(NodeStat{Node: x, Op: "Aggregate", RowsOut: logicalRows(out, outMult), BytesOut: logicalBytes(out, outMult), Work: work, Batches: batches})
 	return nodeResult{table: out, mult: outMult}, nil
+}
+
+// aggState accumulates one group's aggregates (shared by the row and
+// vectorized hash-aggregate paths).
+type aggState struct {
+	groupVals data.Row
+	sums      []float64
+	counts    []int64
+	mins      []data.Value
+	maxs      []data.Value
+}
+
+func newAggState(groupVals data.Row, nAggs int) *aggState {
+	st := &aggState{
+		groupVals: groupVals,
+		sums:      make([]float64, nAggs),
+		counts:    make([]int64, nAggs),
+		mins:      make([]data.Value, nAggs),
+		maxs:      make([]data.Value, nAggs),
+	}
+	for i := range st.mins {
+		st.mins[i] = data.Null()
+		st.maxs[i] = data.Null()
+	}
+	return st
+}
+
+func (st *aggState) accumulate(row data.Row, x *plan.Aggregate, ctx *plan.EvalContext) {
+	for i, spec := range x.Aggs {
+		var v data.Value
+		if spec.Arg != nil {
+			v = spec.Arg.Eval(row, ctx)
+			if v.IsNull() && spec.Kind != plan.AggCount {
+				continue
+			}
+		}
+		switch spec.Kind {
+		case plan.AggCount:
+			st.counts[i]++
+		case plan.AggSum, plan.AggAvg:
+			st.sums[i] += v.AsFloat()
+			st.counts[i]++
+		case plan.AggMin:
+			if st.mins[i].IsNull() || v.Compare(st.mins[i]) < 0 {
+				st.mins[i] = v
+			}
+		case plan.AggMax:
+			if st.maxs[i].IsNull() || v.Compare(st.maxs[i]) > 0 {
+				st.maxs[i] = v
+			}
+		}
+	}
+}
+
+func (st *aggState) outputRow(x *plan.Aggregate, schema data.Schema) data.Row {
+	row := make(data.Row, 0, len(schema))
+	row = append(row, st.groupVals...)
+	for i, spec := range x.Aggs {
+		switch spec.Kind {
+		case plan.AggCount:
+			row = append(row, data.Int(st.counts[i]))
+		case plan.AggSum:
+			if spec.Arg != nil && spec.Arg.Kind() == data.KindInt {
+				row = append(row, data.Int(int64(st.sums[i])))
+			} else {
+				row = append(row, data.Float(st.sums[i]))
+			}
+		case plan.AggAvg:
+			if st.counts[i] == 0 {
+				row = append(row, data.Null())
+			} else {
+				row = append(row, data.Float(st.sums[i]/float64(st.counts[i])))
+			}
+		case plan.AggMin:
+			row = append(row, st.mins[i])
+		case plan.AggMax:
+			row = append(row, st.maxs[i])
+		}
+	}
+	return row
+}
+
+// groupKey computes one row's group key and values, using the same
+// collision-free length-prefixed encoding as joinKey (keys.go).
+func (ex *Executor) groupKey(row data.Row, x *plan.Aggregate) (string, data.Row) {
+	groupVals := make(data.Row, len(x.GroupBy))
+	var buf [64]byte
+	key := buf[:0]
+	for i, g := range x.GroupBy {
+		v := g.Eval(row, ex.Ctx)
+		groupVals[i] = v
+		key = appendKeyValue(key, v)
+	}
+	return string(key), groupVals
 }
 
 func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {

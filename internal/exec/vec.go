@@ -1,6 +1,6 @@
 // Vectorized expression evaluation: typed column vectors, a small expression
 // compiler, and window-at-a-time kernels. The contract with the row-at-a-time
-// serial twin is BIT-IDENTICAL results: every kernel reproduces the exact
+// interpreter is BIT-IDENTICAL results: every kernel reproduces the exact
 // Value semantics of plan.Binary/Unary.Eval (float-compare ordering for all
 // numerics, exact int equality for same-kind ints, NULL comparisons yielding
 // false, NULL-as-zero arithmetic, Float-or-NULL division). Anything outside

@@ -1,6 +1,6 @@
 // Batch operator implementations over the typed column vectors of vec.go.
 // Every function returns (batches, ok); ok=false means the operator must run
-// on the row-at-a-time serial twin (executor not in vectorized mode, column
+// on the row-at-a-time interpreter (executor not in vectorized mode, column
 // extraction failed, or an expression is outside kernel coverage). Output
 // rows, output ORDER, and all accounting are byte-identical to the row path.
 package exec
@@ -138,10 +138,10 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr) ([]string, int6
 	return outKeys, batches, true
 }
 
-// vecAggregate is the vectorized serial hash aggregate: group-by and
+// vecAggregate is the vectorized hash aggregate: group-by and
 // aggregate-argument expressions evaluate per window, then rows accumulate in
-// input order into the same aggState used by the row and parallel paths
-// (identical float summation order, identical group discovery order).
+// input order into the same aggState used by the row path (identical float
+// summation order, identical group discovery order).
 func (ex *Executor) vecAggregate(t *data.Table, x *plan.Aggregate, schema data.Schema, out *data.Table) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false

@@ -34,6 +34,11 @@ var vecEquivalenceQueries = []string{
 	`SELECT CustomerId, SUM(Price / Quantity) AS s FROM Sales GROUP BY CustomerId`,
 	`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id`,
 	`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia'`,
+	`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id AND Sales.Quantity > 2`,
+	`SELECT CustomerId, COUNT(*) AS n, SUM(Price) AS total, AVG(Discount) AS avgd, MIN(Quantity) AS mn, MAX(Quantity) AS mx FROM Sales GROUP BY CustomerId`,
+	`SELECT MktSegment, COUNT(*) AS n FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id GROUP BY MktSegment`,
+	`SELECT DISTINCT CustomerId FROM Sales`,
+	`SELECT CustomerId, SUM(Price*Quantity) AS rev FROM Sales WHERE Discount < 0.3 GROUP BY CustomerId ORDER BY rev DESC`,
 	`SELECT * FROM Sales ORDER BY Price DESC, SaleId`,
 	`SELECT * FROM Customer ORDER BY MktSegment, Name DESC`,
 	`SELECT * FROM Sales SAMPLE 25 PERCENT`,
@@ -186,6 +191,29 @@ func TestVectorizedRowEquivalence(t *testing.T) {
 	for _, src := range append(append([]string{}, vecEquivalenceQueries...), adversarialQueries...) {
 		row, vec := runBoth(t, cat, src)
 		requireRunsEqual(t, src, row, vec)
+	}
+}
+
+// TestNondeterministicFilterMatchesRowPath: RANDOM() draws from the per-job
+// PRNG in row order, so with the same seed the vectorized executor (which
+// falls back to the row interpreter for Calls) must keep exactly the rows the
+// row path keeps.
+func TestNondeterministicFilterMatchesRowPath(t *testing.T) {
+	cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: 100, Parts: 20, Sales: 6000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := bindQuery(t, cat, `SELECT SaleId FROM Sales WHERE RANDOM() < 0.5`)
+	run := func(vectorized bool) string {
+		ex := &exec.Executor{Catalog: cat, Vectorized: vectorized, Ctx: &plan.EvalContext{Rand: data.NewRand(99)}}
+		res, err := ex.Run(plan.CloneNode(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Table.Fingerprint()
+	}
+	if run(false) != run(true) {
+		t.Error("RANDOM() filter must select the same rows on the row and vectorized paths")
 	}
 }
 

@@ -1,8 +1,8 @@
 package fault
 
 import (
-	"fmt"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"

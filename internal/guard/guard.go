@@ -271,9 +271,9 @@ func (c Config) withDefaults() Config {
 // Decision is one deterministic guard state transition, rendered into the
 // decision log.
 type Decision struct {
-	Day  int
-	Kind string // breaker-trip, breaker-halfopen, breaker-close, breaker-reopen, vc-alert, vc-kill, vc-ramp, vc-rekill, vc-restore, flight-rollback, admin-*
-	Key  string // signature (short) or VC name
+	Day    int
+	Kind   string // breaker-trip, breaker-halfopen, breaker-close, breaker-reopen, vc-alert, vc-kill, vc-ramp, vc-rekill, vc-restore, flight-rollback, admin-*
+	Key    string // signature (short) or VC name
 	Detail string
 }
 
@@ -310,8 +310,8 @@ type breaker struct {
 	lostSec        float64 // forfeited by fallbacks
 	trips          int
 
-	openedDay int // day of the most recent trip/reopen
-	probeOK   int // clean probe matches while half-open
+	openedDay int  // day of the most recent trip/reopen
+	probeOK   int  // clean probe matches while half-open
 	forced    bool // admin-held open: cooldown never half-opens it
 }
 
