@@ -31,9 +31,9 @@
 // A System is safe for concurrent use. SubmitScript may be called from any
 // number of goroutines; the shared state behind it (catalog, workload
 // repository, runtime statistics, materialized-view store, insights service)
-// is internally synchronized, and large operators fan out across partitions
-// internally while still producing byte-identical results to serial
-// execution.
+// is internally synchronized. Concurrency is across jobs: each job runs its
+// operators on one goroutine, so its result does not depend on what else is
+// in flight.
 //
 // For pipelined ingestion, SubmitScriptAsync enqueues a job and returns a
 // Pending handle immediately; SubmitBatch submits a whole slice and waits

@@ -11,10 +11,8 @@ import (
 	"cloudviews/internal/guard"
 	"cloudviews/internal/insights"
 	"cloudviews/internal/optimizer"
-	"cloudviews/internal/plan"
 	"cloudviews/internal/repository"
 	"cloudviews/internal/signature"
-	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/stats"
 	"cloudviews/internal/telemetry"
 	"cloudviews/internal/workload"
@@ -279,24 +277,15 @@ func (e *Engine) RecordWorkloadDay(day int, jobs []workload.JobInput) error {
 	_ = day
 	for _, in := range jobs {
 		e.advanceClock(in.Submit)
-		signer := e.signerFor(in.Runtime)
-		script, err := sqlparser.Parse(in.Script)
+		root, err := e.bindJob(in)
 		if err != nil {
-			return fmt.Errorf("job %s: parse: %w", in.ID, err)
+			return err
 		}
-		binder := &plan.Binder{Catalog: e.Catalog, Params: in.Params}
-		outs, err := binder.BindScript(script)
-		if err != nil {
-			return fmt.Errorf("job %s: bind: %w", in.ID, err)
-		}
-		if len(outs) != 1 {
-			return fmt.Errorf("job %s: expected exactly one OUTPUT, got %d", in.ID, len(outs))
-		}
-		opt := &optimizer.Optimizer{Signer: signer, Est: e.Est, History: e.History}
-		cr := opt.Compile(outs[0], optimizer.CompileOptions{
+		opt := &optimizer.Optimizer{Signer: e.signerFor(in.Runtime), Est: e.Est, History: e.History}
+		cr := opt.Compile(root, optimizer.CompileOptions{
 			JobID: in.ID, Cluster: in.Cluster, VC: in.VC, OptIn: false,
 		})
-		rec := e.buildRecord(in, cr, &exec.RunResult{}, signer.Subexpressions(cr.Plan))
+		rec := e.buildRecord(in, cr, &exec.RunResult{})
 		rec.Start = in.Submit
 		rec.End = in.Submit
 		e.Repo.Add(rec)

@@ -305,6 +305,24 @@ type JobRun struct {
 	RetryDelay time.Duration
 }
 
+// bindJob is the front end shared by every compile path: parse the job's
+// script and bind it to its single OUTPUT plan.
+func (e *Engine) bindJob(in workload.JobInput) (plan.Node, error) {
+	script, err := sqlparser.Parse(in.Script)
+	if err != nil {
+		return nil, fmt.Errorf("job %s: parse: %w", in.ID, err)
+	}
+	binder := &plan.Binder{Catalog: e.Catalog, Params: in.Params}
+	outs, err := binder.BindScript(script)
+	if err != nil {
+		return nil, fmt.Errorf("job %s: bind: %w", in.ID, err)
+	}
+	if len(outs) != 1 {
+		return nil, fmt.Errorf("job %s: expected exactly one OUTPUT, got %d", in.ID, len(outs))
+	}
+	return outs[0], nil
+}
+
 // CompileAndExecute runs the data plane for one job: parse → bind → optimize
 // (with reuse) → execute → publish cooked outputs → stage views for sealing.
 func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
@@ -341,24 +359,15 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 		tr.Span("parse", 0)
 		tr.Span("bind", 0)
 	} else {
-		script, err := sqlparser.Parse(in.Script)
-		if err != nil {
+		var err error
+		if root, err = e.bindJob(in); err != nil {
 			e.mJobsFailed.Inc()
-			return nil, fmt.Errorf("job %s: parse: %w", in.ID, err)
+			return nil, err
 		}
+		// A failed job's trace is dropped, so both front-end spans can be
+		// recorded once binding has succeeded.
 		tr.Span("parse", 0)
-		binder := &plan.Binder{Catalog: e.Catalog, Params: in.Params}
-		outs, err := binder.BindScript(script)
-		if err != nil {
-			e.mJobsFailed.Inc()
-			return nil, fmt.Errorf("job %s: bind: %w", in.ID, err)
-		}
-		if len(outs) != 1 {
-			e.mJobsFailed.Inc()
-			return nil, fmt.Errorf("job %s: expected exactly one OUTPUT, got %d", in.ID, len(outs))
-		}
 		tr.Span("bind", 0)
-		root = outs[0]
 		if keyOK {
 			cached = e.plans.storeBound(key, gen, root)
 		}
@@ -377,7 +386,6 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	var cr *optimizer.CompileResult
 	var res *exec.RunResult
 	var sigMap map[plan.Node]signature.Sig
-	var subs []signature.Subexpr
 	var tmpl *stageTemplate
 	var retryDelay time.Duration
 	attempt := 1
@@ -389,7 +397,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 		// still be off, and a fresh estimate pass (history moves between
 		// submissions) must agree exactly with the estimates the cached join
 		// algorithm choices were derived from. Retries always recompile.
-		cr, sigMap, subs, tmpl = nil, nil, nil, nil
+		cr, sigMap, tmpl = nil, nil, nil
 		if attempt == 1 && cached != nil {
 			if cp := cached.compiled.Load(); cp != nil {
 				disabledBy, off := "", true
@@ -398,7 +406,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 					off = disabledBy != ""
 				}
 				if off && optimizer.EstimatesMatch(e.Est, e.History, cp.cr.Plan, cp.cr.RecurringMap, cp.cr.Estimates) {
-					cr, sigMap, subs, tmpl = cp.cr, cp.sigMap, cp.subs, cp.stages
+					cr, sigMap, tmpl = cp.cr, cp.sigMap, cp.stages
 					e.plans.hits.Add(1)
 					// Replay the compile-phase trace AND the structured
 					// decision of a reuse-disabled job, so a plan-cache hit
@@ -434,11 +442,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			// reuses a view must not replay the accounting of the plan that
 			// computed the subexpression.
 			sigMap = signer.Physical(cr.Plan)
-			subs = signer.Subexpressions(cr.Plan)
 			tmpl = buildStageTemplate(cr)
 			if attempt == 1 && cached != nil && !cr.ReuseEnabled &&
 				len(cr.Proposed) == 0 && len(cr.Matched) == 0 {
-				e.plans.storeCompiled(cached, &compiledPlan{cr: cr, sigMap: sigMap, subs: subs, stages: tmpl})
+				e.plans.storeCompiled(cached, &compiledPlan{cr: cr, sigMap: sigMap, stages: tmpl})
 			}
 		}
 		e.mCompileSec.Add(cr.CompileLatency.Seconds())
@@ -515,7 +522,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	run.Output = res.Table
 	run.Stages = tmpl.specsFor(res)
 	e.traceStages(tr, run.Stages, res.TotalBatches)
-	run.Record = e.buildRecord(in, cr, res, subs)
+	run.Record = e.buildRecord(in, cr, res)
 	// The record lands in the repository immediately so workload analysis
 	// sees it; RunDay fills in the scheduling outcome afterwards (the record
 	// is shared by pointer).
@@ -768,13 +775,14 @@ func estimatedOpWork(op string, est stats.Estimate) float64 {
 }
 
 // buildRecord assembles the repository row for a job (cluster outcome fields
-// are filled in later by RunDay) and feeds the runtime history. subs is the
-// plan's subexpression enumeration, precomputed at compile time (and shared
-// via the plan cache across identical submissions). The Work recorded per
-// subexpression is its SUBTREE cost — what reusing it would save — and
-// subtrees that were themselves served from a view are excluded from history
-// so reuse never poisons the recompute-cost estimates.
-func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, res *exec.RunResult, subs []signature.Subexpr) *repository.JobRecord {
+// are filled in later by RunDay) and feeds the runtime history, both from the
+// compile's subexpression enumeration (shared via the plan cache across
+// identical submissions). The Work recorded per subexpression is its SUBTREE
+// cost — what reusing it would save — and subtrees that were themselves
+// served from a view are excluded from history so reuse never poisons the
+// recompute-cost estimates.
+func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, res *exec.RunResult) *repository.JobRecord {
+	subs := cr.Subexprs
 	statByNode := make(map[plan.Node]exec.NodeStat, len(res.Stats))
 	for _, st := range res.Stats {
 		statByNode[st.Node] = st

@@ -52,13 +52,12 @@ type planEntry struct {
 }
 
 // compiledPlan bundles everything CompileAndExecute derives from a compile
-// that executions re-derive per submission: the compile result, the physical
-// signature map the result cache is keyed by, and the subexpression
-// enumeration the repository record is built from.
+// that executions re-derive per submission: the compile result (which carries
+// the subexpression enumeration the repository record is built from), the
+// physical signature map the result cache is keyed by, and the stage template.
 type compiledPlan struct {
 	cr     *optimizer.CompileResult
 	sigMap map[plan.Node]signature.Sig
-	subs   []signature.Subexpr
 	stages *stageTemplate
 }
 

@@ -61,10 +61,11 @@ type MatchedView struct {
 // CompileResult is the output of Compile.
 type CompileResult struct {
 	Plan plan.Node
-	// SigMap and RecurringMap key the FINAL plan's nodes.
+	// Subexprs is the FINAL plan's subexpression enumeration (bottom-up,
+	// root last); SigMap and RecurringMap index it by node.
+	Subexprs     []signature.Subexpr
 	SigMap       map[plan.Node]signature.Sig
 	RecurringMap map[plan.Node]signature.Sig
-	EligibleMap  map[plan.Node]signature.Eligibility
 	Estimates    map[plan.Node]stats.Estimate
 	Tag          signature.Tag
 	Matched      []MatchedView
@@ -94,11 +95,14 @@ func (o *Optimizer) maxViews() int {
 
 // Compile runs the full pipeline: rewrites → annotation fetch → top-down view
 // matching → bottom-up view-build proposal → statistics refresh → physical
-// planning. The input plan is not mutated.
+// planning. The input plan is not mutated. The rewritten plan is signed once:
+// that enumeration gives the job tag, drives matching and building, and is
+// the result's Subexprs unless matching or building rewrote the plan.
 func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult {
 	res := &CompileResult{}
-	p := Rewrite(plan.CloneNode(root))
-	res.Tag = o.Signer.JobTag(p)
+	p0 := Rewrite(plan.CloneNode(root))
+	subs := o.Signer.Subexpressions(p0)
+	res.Tag = signature.TagForTemplate(subs[len(subs)-1].Recurring)
 
 	var disabledBy string
 	enabled := false
@@ -130,23 +134,31 @@ func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult 
 		}
 	}
 
+	p := p0
 	if enabled {
+		info := make(map[plan.Node]signature.Subexpr, len(subs))
+		for _, s := range subs {
+			info[s.Node] = s
+		}
 		// Core search: top-down enumeration for matching views (larger
 		// subexpressions first).
-		p = o.matchViews(p, opts, annSet, res)
+		p = o.matchViews(p, opts, annSet, info, res)
 		// Follow-up optimization: bottom-up enumeration for building views.
-		p = o.buildViews(p, opts, annSet, res)
+		p = o.buildViews(p, opts, annSet, info, res)
 	}
 	o.Trace.Span("optimize", 0)
 
-	// Final signature maps over the rewritten plan.
-	res.SigMap = make(map[plan.Node]signature.Sig)
-	res.RecurringMap = make(map[plan.Node]signature.Sig)
-	res.EligibleMap = make(map[plan.Node]signature.Eligibility)
-	for _, s := range o.Signer.Subexpressions(p) {
+	// A ViewScan or Spool changes the plan's nodes, not its signatures, but
+	// the final enumeration must key the nodes the plan actually has.
+	if p != p0 {
+		subs = o.Signer.Subexpressions(p)
+	}
+	res.Subexprs = subs
+	res.SigMap = make(map[plan.Node]signature.Sig, len(subs))
+	res.RecurringMap = make(map[plan.Node]signature.Sig, len(subs))
+	for _, s := range subs {
 		res.SigMap[s.Node] = s.Strict
 		res.RecurringMap[s.Node] = s.Recurring
-		res.EligibleMap[s.Node] = s.Eligibility
 	}
 
 	// Statistics refresh + physical planning.
@@ -170,13 +182,10 @@ func (o *Optimizer) reject(sig signature.Sig, candidate string, reason explain.R
 // matchViews replaces available materialized subexpressions with ViewScans,
 // top-down so the largest match wins. The plan with the view is adopted only
 // if its cost is lower (with runtime history this reduces to comparing the
-// view read cost against the observed recompute cost).
-func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, res *CompileResult) plan.Node {
-	subs := o.Signer.Subexpressions(root)
-	info := make(map[plan.Node]signature.Subexpr, len(subs))
-	for _, s := range subs {
-		info[s.Node] = s
-	}
+// view read cost against the observed recompute cost). info holds the input
+// plan's enumeration; every ancestor rebuilt above a ViewScan is entered in it
+// with the entry of the node it replaces (ViewScans are signature-transparent).
+func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, info map[plan.Node]signature.Subexpr, res *CompileResult) plan.Node {
 	var rec func(n plan.Node) plan.Node
 	rec = func(n plan.Node) plan.Node {
 		s, ok := info[n]
@@ -236,24 +245,35 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 				}
 			}
 		}
-		children := n.Children()
-		if len(children) == 0 {
-			return n
+		rebuilt := rewriteChildren(n, rec)
+		if ok && rebuilt != n {
+			s.Node = rebuilt
+			info[rebuilt] = s
 		}
-		newChildren := make([]plan.Node, len(children))
-		changed := false
-		for i, c := range children {
-			newChildren[i] = rec(c)
-			if newChildren[i] != c {
-				changed = true
-			}
-		}
-		if changed {
-			return n.WithChildren(newChildren)
-		}
-		return n
+		return rebuilt
 	}
 	return rec(root)
+}
+
+// rewriteChildren applies fn to each child of n and rebuilds n only if some
+// child changed.
+func rewriteChildren(n plan.Node, fn func(plan.Node) plan.Node) plan.Node {
+	children := n.Children()
+	var newChildren []plan.Node
+	for i, c := range children {
+		nc := fn(c)
+		if nc != c && newChildren == nil {
+			newChildren = make([]plan.Node, len(children))
+			copy(newChildren, children[:i])
+		}
+		if newChildren != nil {
+			newChildren[i] = nc
+		}
+	}
+	if newChildren == nil {
+		return n
+	}
+	return n.WithChildren(newChildren)
 }
 
 // viewWins decides whether scanning the materialized view beats recomputing
@@ -289,13 +309,18 @@ func (o *Optimizer) savedIfExplaining(s signature.Subexpr, view *storage.View) f
 
 // buildViews inserts Spool operators (bottom-up) on selected subexpressions
 // that are not yet materialized, acquiring the insights view lock so exactly
-// one concurrent job builds each artifact.
-func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, res *CompileResult) plan.Node {
+// one concurrent job builds each artifact. Each node's signatures come from
+// info, looked up by the node as matching left it: a Spool below it is
+// signature-transparent, so rebuilding it does not change them.
+func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, info map[plan.Node]signature.Subexpr, res *CompileResult) plan.Node {
 	if len(annSet) == 0 || o.Store == nil {
 		return root
 	}
 	built := 0
-	return plan.Rewrite(root, func(n plan.Node) plan.Node {
+	var rec func(n plan.Node) plan.Node
+	rec = func(n plan.Node) plan.Node {
+		s := info[n]
+		n = rewriteChildren(n, rec)
 		switch n.(type) {
 		case *plan.Spool, *plan.ViewScan, *plan.Output:
 			return n
@@ -304,22 +329,14 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 			// Budget spent. Without an explain recorder return immediately;
 			// with one, classify whether this node would otherwise have been
 			// built so the forfeited candidate is attributable to the budget.
-			if o.Explain != nil {
-				subs := o.Signer.Subexpressions(n)
-				s := subs[len(subs)-1]
-				if s.Eligibility == signature.EligibleOK {
-					if _, selected := annSet[s.Recurring]; selected &&
-						!o.Store.Available(s.Strict) && !o.Store.InFlight(s.Strict) {
-						o.Explain.Record(s.Strict, n.OpName(), explain.ReasonBudget, 0, "")
-					}
+			if o.Explain != nil && s.Eligibility == signature.EligibleOK {
+				if _, selected := annSet[s.Recurring]; selected &&
+					!o.Store.Available(s.Strict) && !o.Store.InFlight(s.Strict) {
+					o.Explain.Record(s.Strict, n.OpName(), explain.ReasonBudget, 0, "")
 				}
 			}
 			return n
 		}
-		// Recompute this node's signatures on the (possibly rewritten)
-		// subtree; ViewScan transparency keeps them equal to the original.
-		subs := o.Signer.Subexpressions(n)
-		s := subs[len(subs)-1]
 		if s.Eligibility != signature.EligibleOK {
 			return n
 		}
@@ -342,7 +359,8 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 		o.Trace.Event("view.proposed", fmt.Sprintf("sig=%s path=%s", s.Strict.Short(), path))
 		res.Proposed = append(res.Proposed, ProposedView{Strict: s.Strict, Recurring: s.Recurring, Path: path})
 		return &plan.Spool{Child: n, StrictSig: string(s.Strict), Path: path, VC: opts.VC}
-	})
+	}
+	return rec(root)
 }
 
 // estimateWithHistory folds compile-time estimates bottom-up but overrides
@@ -373,20 +391,13 @@ func (o *Optimizer) estimateWithHistory(root plan.Node, recurring map[plan.Node]
 	return memo
 }
 
-// RefreshEstimates recomputes the statistics a plan would be given if it were
-// optimized right now, using the current runtime history. Compiled-plan
-// caches use it as a soundness guard: a cached plan may be replayed only when
-// its embedded estimates match a fresh computation exactly, since join
-// algorithm choices were derived from them.
-func RefreshEstimates(est *stats.Estimator, hist *stats.History, root plan.Node, recurring map[plan.Node]signature.Sig) map[plan.Node]stats.Estimate {
-	o := &Optimizer{Est: est, History: hist}
-	return o.estimateWithHistory(root, recurring)
-}
-
-// EstimatesMatch reports whether a fresh statistics pass over root agrees
-// exactly with want — RefreshEstimates + EstimatesEqual fused into one walk
-// that materializes no map. This is the plan-cache hit path, which runs once
-// per submission, so the walk early-outs nothing but allocates nothing.
+// EstimatesMatch reports whether a fresh statistics pass over root — the
+// estimates Compile would derive from the current runtime history — agrees
+// exactly with want (same nodes, identical Rows/Bytes). Compiled-plan caches
+// use it as a soundness guard: a cached plan may be replayed only on a match,
+// since its join algorithm choices were derived from want. This is the
+// plan-cache hit path, which runs once per submission, so the walk
+// materializes no map and allocates nothing.
 func EstimatesMatch(est *stats.Estimator, hist *stats.History, root plan.Node, recurring map[plan.Node]signature.Sig, want map[plan.Node]stats.Estimate) bool {
 	o := &Optimizer{Est: est, History: hist}
 	ok := true
@@ -422,18 +433,4 @@ func EstimatesMatch(est *stats.Estimator, hist *stats.History, root plan.Node, r
 	// The node sets must coincide exactly: every tree node found its match
 	// above, and want has no extra nodes beyond the tree's population.
 	return ok && visited == len(want)
-}
-
-// EstimatesEqual reports whether two estimate maps agree exactly (same nodes,
-// identical Rows/Bytes).
-func EstimatesEqual(a, b map[plan.Node]stats.Estimate) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for n, ea := range a {
-		if eb, ok := b[n]; !ok || ea != eb {
-			return false
-		}
-	}
-	return true
 }
